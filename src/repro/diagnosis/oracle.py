@@ -25,10 +25,11 @@ segments.
 **Demand Belady** (informative baseline, *no* dominance claim).  The
 classic clairvoyant demand-fetch cache (MIN): pooled capacity over the
 tiers faster than origin, first access is a compulsory miss,
-farthest-next-use eviction, O(reads log segments) via precomputed
-per-segment access lists.  A prefetcher with lookahead can legitimately
-*beat* demand Belady (it has no compulsory misses on predicted first
-reads), so the report prints it as context, not as a bound.
+farthest-next-use eviction, O(reads log reads) via the shared
+:class:`~repro.storage.nextuse.NextUseIndex` over the global read
+order.  A prefetcher with lookahead can legitimately *beat* demand
+Belady (it has no compulsory misses on predicted first reads), so the
+report prints it as context, not as a bound.
 
 Assumptions both bounds share (documented in the README): movement is
 free and instantaneous, capacities are the only constraint, and the
@@ -43,6 +44,7 @@ from heapq import heappop, heappush
 from itertools import groupby
 
 from repro.diagnosis.provenance import EV_READ
+from repro.storage.nextuse import NextUseIndex
 
 __all__ = ["analyze_oracle"]
 
@@ -102,30 +104,19 @@ def _belady_hits(reads: list[tuple], capacity: int) -> int:
     """Classic demand-fetch Belady (MIN) hits on a pooled cache."""
     if capacity <= 0:
         return 0
-    # per-sid access positions for next-use lookups
-    positions: dict[int, list[int]] = {}
-    for pos, (_t, sid, _served, origin, _nb, _hit) in enumerate(reads):
-        if origin >= 1:
-            positions.setdefault(sid, []).append(pos)
-    cursor = {sid: 0 for sid in positions}
-
-    def next_use(sid: int, pos: int) -> float:
-        lst = positions[sid]
-        i = cursor[sid]
-        while i < len(lst) and lst[i] <= pos:
-            i += 1
-        cursor[sid] = i
-        return lst[i] if i < len(lst) else math.inf
-
+    # a tier-0 origin read can never hit, so it takes no part in MIN
+    reads = [r for r in reads if r[3] >= 1]
+    uses = NextUseIndex({0: [r[1] for r in reads]})
+    cursor = {0: 0}
     cached: dict[int, int] = {}  # sid -> nbytes
     used = 0
     heap: list[tuple] = []  # (-next_use, sid) lazily validated
     nexts: dict[int, float] = {}
     hits = 0
-    for pos, (_t, sid, _served, origin, nbytes, _hit) in enumerate(reads):
-        if origin < 1:
-            continue
-        nu = next_use(sid, pos)
+    for pos, (_t, sid, _served, _origin, nbytes, _hit) in enumerate(reads):
+        # absolute position of the next read of sid after this one
+        cursor[0] = pos + 1
+        nu = pos + 1 + uses.distance(sid, cursor)
         if sid in cached:
             hits += 1
             nexts[sid] = nu
@@ -133,7 +124,6 @@ def _belady_hits(reads: list[tuple], capacity: int) -> int:
             continue
         if nbytes > capacity:
             continue
-        evicted: list[int] = []
         bailed = False
         while used + nbytes > capacity:
             while heap and (heap[0][1] not in cached
@@ -148,7 +138,6 @@ def _belady_hits(reads: list[tuple], capacity: int) -> int:
                 heappush(heap, (far, victim))
                 bailed = True
                 break
-            evicted.append(victim)
             used -= cached.pop(victim)
             nexts.pop(victim, None)
         if bailed:

@@ -17,13 +17,12 @@ that HFetch can spill to NVMe and burst buffers while these cannot.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import defaultdict
 from typing import Generator, Optional
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.util import ManagedCache
 from repro.runtime.context import ReadPlan, RuntimeContext
+from repro.storage.nextuse import NextUseIndex
 from repro.storage.segments import SegmentKey
 from repro.workloads.spec import WorkloadSpec
 
@@ -43,7 +42,6 @@ class InMemoryOptimalPrefetcher(Prefetcher):
         self.ram_budget = ram_budget
         self._caches: dict[int, ManagedCache] = {}
         self._traces: dict[int, list[SegmentKey]] = {}
-        self._positions: dict[int, dict[SegmentKey, list[int]]] = {}
         self._cursor: dict[int, int] = {}
         self._partition = 0.0
 
@@ -57,32 +55,15 @@ class InMemoryOptimalPrefetcher(Prefetcher):
         for proc in workload.processes:
             trace = proc.segment_trace(self.ctx.fs)
             self._traces[proc.pid] = trace
-            pos: dict[SegmentKey, list[int]] = defaultdict(list)
-            for i, key in enumerate(trace):
-                pos[key].append(i)
-            self._positions[proc.pid] = dict(pos)
             self._cursor[proc.pid] = 0
             if self._partition >= 1:
+                # Belady within the partition: only this rank's own trace counts
+                uses = NextUseIndex({proc.pid: trace})
                 self._caches[proc.pid] = ManagedCache(
                     ram,
                     self._partition,
-                    victim_chooser=self._belady_chooser(proc.pid),
+                    next_use=lambda key, uses=uses: uses.distance(key, self._cursor),
                 )
-
-    def _belady_chooser(self, pid: int):
-        def chooser(cache: ManagedCache) -> Optional[SegmentKey]:
-            cursor = self._cursor[pid]
-            positions = self._positions[pid]
-            best_key, best_next = None, -1
-            for key in cache.resident_keys():
-                plist = positions.get(key, ())
-                i = bisect_right(plist, cursor - 1)
-                nxt = plist[i] if i < len(plist) else 1 << 62
-                if nxt > best_next:
-                    best_key, best_next = key, nxt
-            return best_key
-
-        return chooser
 
     # -- runner hooks ----------------------------------------------------------------
     def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:

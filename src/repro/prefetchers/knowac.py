@@ -22,13 +22,13 @@ the comparison conservative in KnowAc's favour.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
 from typing import Generator, Optional
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.util import ManagedCache
 from repro.runtime.context import ReadPlan, RuntimeContext
+from repro.storage.nextuse import NextUseIndex
 from repro.storage.segments import SegmentKey
 from repro.workloads.spec import WorkloadSpec
 
@@ -49,8 +49,7 @@ class KnowAcPrefetcher(Prefetcher):
         self.cache: Optional[ManagedCache] = None
         self._traces: dict[int, list[SegmentKey]] = {}
         self._cursor: dict[int, int] = {}
-        # global next-use structure for far-future eviction
-        self._positions: dict[SegmentKey, list[tuple[int, int]]] = defaultdict(list)
+        self._uses = NextUseIndex({})
         self._profile_cost = 0.0
 
     # -- lifecycle ----------------------------------------------------------------
@@ -60,7 +59,8 @@ class KnowAcPrefetcher(Prefetcher):
         self.cache = ManagedCache(
             ram,
             self.ram_budget if self.ram_budget is not None else ram.capacity,
-            victim_chooser=self._far_future_chooser,
+            # evict the entry whose next use by any rank is farthest away
+            next_use=lambda key: self._uses.distance(key, self._cursor),
         )
 
     def on_workload(self, workload: WorkloadSpec) -> None:
@@ -69,8 +69,7 @@ class KnowAcPrefetcher(Prefetcher):
             trace = proc.segment_trace(self.ctx.fs)
             self._traces[proc.pid] = trace
             self._cursor[proc.pid] = 0
-            for i, key in enumerate(trace):
-                self._positions[key].append((proc.pid, i))
+        self._uses = NextUseIndex(self._traces)
         self._profile_cost = self._estimate_profile_cost(workload)
         # cap the per-rank fetch-ahead so the whole fleet's in-flight
         # target fits the staging cache (otherwise it evicts entries
@@ -104,26 +103,6 @@ class KnowAcPrefetcher(Prefetcher):
                 sum(s.compute_time for s in p.steps) for p in workload.processes
             )
         return total
-
-    # -- eviction: farthest global next use -------------------------------------------
-    def _far_future_chooser(self, cache: ManagedCache) -> Optional[SegmentKey]:
-        best_key, best_next = None, -1
-        for key in cache.resident_keys():
-            nxt = self._next_use(key)
-            if nxt > best_next:
-                best_key, best_next = key, nxt
-        return best_key
-
-    def _next_use(self, key: SegmentKey) -> int:
-        uses = self._positions.get(key)
-        if not uses:
-            return 1 << 62
-        soonest = 1 << 62
-        for pid, i in uses:
-            cursor = self._cursor.get(pid, 0)
-            if i >= cursor:
-                soonest = min(soonest, i - cursor)
-        return soonest
 
     # -- runner hooks -------------------------------------------------------------------
     def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:

@@ -24,21 +24,23 @@ class ManagedCache:
     Keys are arbitrary hashables (usually :class:`SegmentKey`, or
     ``(pid, SegmentKey)`` for per-process private caches).  The cache
     tracks reserved (in-flight) bytes so concurrent fetches never
-    overshoot the budget, and exposes LRU eviction by default with an
-    optional victim-chooser override (used for Belady baselines).
+    overshoot the budget, and evicts the least recently used entry by
+    default.  With a ``next_use`` key function (the clairvoyant
+    baselines' next-use distance) it evicts the entry whose next use is
+    farthest away instead, breaking ties in LRU order.
     """
 
     def __init__(
         self,
         tier: StorageTier,
         budget: float,
-        victim_chooser: Optional[Callable[["ManagedCache"], Optional[Hashable]]] = None,
+        next_use: Optional[Callable[[Hashable], float]] = None,
     ):
         if budget <= 0:
             raise ValueError("cache budget must be positive")
         self.tier = tier
         self.budget = float(budget)
-        self.victim_chooser = victim_chooser
+        self.next_use = next_use
         self._resident: OrderedDict[Hashable, int] = OrderedDict()
         self._in_flight: dict[Hashable, int] = {}
         self.used = 0
@@ -86,12 +88,10 @@ class ManagedCache:
 
     # -- eviction -------------------------------------------------------------
     def _pick_victim(self) -> Optional[Hashable]:
-        if self.victim_chooser is not None:
-            victim = self.victim_chooser(self)
-            if victim is not None and victim in self._resident:
-                return victim
-        # default: LRU head
-        return next(iter(self._resident), None)
+        if self.next_use is None:
+            return next(iter(self._resident), None)  # LRU head
+        # max() keeps the first of equal keys: the least recently used
+        return max(self._resident, key=self.next_use, default=None)
 
     def make_room(self, nbytes: int) -> bool:
         """Evict until ``nbytes`` fit; False when impossible."""

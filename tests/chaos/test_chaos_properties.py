@@ -15,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultKind, FaultPlan, FaultSpec
@@ -74,6 +74,16 @@ class TestChaosProperties:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(plan=fault_plans())
+    # a slowdown landing on an already-failed tier once crashed the injector
+    @example(
+        plan=FaultPlan(
+            specs=(
+                FaultSpec(FaultKind.TIER_OUTAGE, at=0.0, target="RAM"),
+                FaultSpec(FaultKind.DEVICE_SLOWDOWN, at=0.0, target="RAM", factor=2.0),
+            ),
+            seed=0,
+        )
+    )
     def test_any_plan_completes_without_losing_segments(self, plan):
         runner, result = run_hfetch(
             fault_plan=plan, config=hfetch_config(dhm_wal=True)

@@ -91,18 +91,36 @@ def test_managed_cache_refuses_oversized_entry():
     assert not cache.begin_fetch(SegmentKey("/f", 0), 2 * MB)
 
 
-def test_managed_cache_custom_victim_chooser():
+def test_managed_cache_evicts_farthest_next_use():
     env = Environment()
-    chosen = SegmentKey("/f", 1)
+    distance = {SegmentKey("/f", 0): 3, SegmentKey("/f", 1): 7}
     cache = ManagedCache(
-        StorageTier(env, DRAM, 16 * MB), 2 * MB, victim_chooser=lambda c: chosen
+        StorageTier(env, DRAM, 16 * MB), 2 * MB, next_use=distance.get
     )
     for i in range(2):
         cache.begin_fetch(SegmentKey("/f", i), MB)
         cache.commit_fetch(SegmentKey("/f", i))
     cache.begin_fetch(SegmentKey("/f", 5), MB)
-    assert not cache.ready(chosen)
+    assert not cache.ready(SegmentKey("/f", 1))
     assert cache.ready(SegmentKey("/f", 0))
+
+
+def test_managed_cache_next_use_ties_evict_least_recently_used():
+    # KnowAc and In-Memory Optimal results depend on this tie-break order
+    env = Environment()
+    keys = [SegmentKey("/f", i) for i in range(3)]
+    cache = ManagedCache(
+        StorageTier(env, DRAM, 16 * MB), 3 * MB, next_use=lambda key: 5
+    )
+    for key in keys:
+        cache.begin_fetch(key, MB)
+        cache.commit_fetch(key)
+    cache.touch(keys[0])  # LRU order is now 1, 2, 0
+    cache.begin_fetch(SegmentKey("/f", 9), MB)
+    assert not cache.ready(keys[1])
+    cache.begin_fetch(SegmentKey("/f", 10), MB)
+    assert not cache.ready(keys[2])
+    assert cache.ready(keys[0])
 
 
 # ---------------------------------------------------------------- baselines

@@ -12,10 +12,11 @@ from repro.core.stats import SegmentStats
 from repro.dhm.hashmap import DistributedHashMap
 from repro.dhm.partition import KeyPartitioner
 from repro.dhm.wal import WriteAheadLog
+from repro.prefetchers.util import ManagedCache
 from repro.sim.core import Environment
-from repro.storage.cache import BeladyCache, LFUCache, LRFUCache, LRUCache
 from repro.storage.devices import DRAM, NVME, PFS_DISK
 from repro.storage.hierarchy import StorageHierarchy, TierFullError
+from repro.storage.nextuse import NextUseIndex
 from repro.storage.segments import (
     SegmentKey,
     covering_segments,
@@ -114,44 +115,26 @@ cache_traces = st.lists(st.integers(0, 15), min_size=1, max_size=200)
 
 
 @given(trace=cache_traces, cap=st.integers(1, 8))
-def test_lru_capacity_and_inclusion(trace, cap):
-    c = LRUCache(cap)
-    for k in trace:
-        c.access(k)
-        assert len(c) <= cap
-        assert k in c  # just-accessed key is always resident
+def test_farthest_next_use_dominates_lru(trace, cap):
+    uses = NextUseIndex({0: trace})
+    cursor = {0: 0}
 
+    def demand_hits(cache):
+        hits = 0
+        for pos, key in enumerate(trace):
+            cursor[0] = pos
+            if cache.ready(key):
+                hits += 1
+                cache.touch(key)
+            else:
+                assert cache.begin_fetch(key, MB)
+                cache.commit_fetch(key)
+        return hits
 
-@given(trace=cache_traces, cap=st.integers(1, 8), lam=st.floats(0.01, 1.0))
-def test_lrfu_capacity_and_inclusion(trace, cap, lam):
-    c = LRFUCache(cap, lam=lam)
-    for k in trace:
-        c.access(k)
-        assert len(c) <= cap
-        assert k in c
-
-
-@given(trace=cache_traces, cap=st.integers(1, 8))
-def test_belady_dominates_lru_and_lfu(trace, cap):
-    bel = BeladyCache(cap, trace)
-    lru = LRUCache(cap)
-    lfu = LFUCache(cap)
-    for k in trace:
-        bel.access(k)
-        lru.access(k)
-        lfu.access(k)
-    assert bel.hits >= lru.hits
-    assert bel.hits >= lfu.hits
-
-
-@given(trace=cache_traces, cap=st.integers(1, 8))
-def test_bigger_lru_never_hurts(trace, cap):
-    small = LRUCache(cap)
-    large = LRUCache(cap + 4)
-    for k in trace:
-        small.access(k)
-        large.access(k)
-    assert large.hits >= small.hits  # LRU is a stack algorithm
+    tier = StorageTier(Environment(), DRAM, 16 * MB)
+    belady = ManagedCache(tier, cap * MB, next_use=lambda key: uses.distance(key, cursor))
+    lru = ManagedCache(tier, cap * MB)
+    assert demand_hits(belady) >= demand_hits(lru)
 
 
 # ------------------------------------------------------------------ hierarchy
