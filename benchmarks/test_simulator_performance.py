@@ -93,7 +93,7 @@ def test_auditor_event_fold_rate(benchmark):
 
 
 def test_auditor_event_fold_rate_per_event(benchmark):
-    """The same 10k-event fold through the legacy per-event path."""
+    """The same 10k-event fold through the per-event path."""
     config, fs, events = _fold_events()
 
     def run():

@@ -167,164 +167,37 @@ class FileSegmentAuditor:
 
     # -- event consumption (called by the hardware monitor's daemons) ---------------
     def on_event(self, event: FileEvent) -> None:
-        """Fold one enriched file event into the statistics."""
+        """Fold one enriched file event into the statistics.
+
+        Listeners are notified once per score update, with the running
+        count.
+        """
         self.events_processed += 1
-        if event.etype is EventType.READ:
-            self._on_read(event)
-        elif event.etype is EventType.WRITE:
-            self._on_write(event)
-        # OPEN/CLOSE epochs are driven by the agent manager, which sees
-        # the open flags; the raw events carry no extra information here.
+        for _ in range(self._fold(event)):
+            self.score_updates += 1
+            for listener in self._update_listeners:
+                listener(self.score_updates)
 
     def on_events(self, events: Iterable[FileEvent]) -> int:
-        """Fold a batch of enriched events through the shard-local fast path.
+        """Fold a batch of enriched events, in order.
 
-        Semantically equivalent to calling :meth:`on_event` on each event
-        in order — identical statistics, sequencing links, dirty-vector
-        content/order, invalidation ordering and cost accounting — with
-        the per-event overhead amortised across the batch:
-
-        * segment statistics are mutated in place on their shard (no
-          per-access closure allocation, one aggregated DHM charge per
-          batch via :meth:`~repro.dhm.hashmap.DistributedHashMap.charge_batch`);
-        * file records are resolved once per file, not once per event;
-        * update listeners are notified once per batch (the post-batch
-          flush) instead of once per score update.
+        Each event goes through the same fold as :meth:`on_event`, so
+        statistics, sequencing links, the dirty vector, invalidation
+        order and DHM accounting are identical to calling
+        :meth:`on_event` on each event.  The one difference: update
+        listeners are notified once, after the batch, with the final
+        running count, instead of once per score update.
 
         Returns the number of events folded.
         """
-        fs = self.fs
-        config = self.config
-        stats_map = self.stats_map
-        nshards = stats_map.shards
-        shard_of = stats_map.shard_of
-        local_shard = stats_map.local_shard
-        wal = stats_map.wal
-        dirty = self._dirty
-        dirty_cap = config.dirty_vector_capacity
-        max_history = config.max_history
-        last_segment = self._last_segment
-        home_node = self._home_node
-        file_keys = self._file_keys
-        file_streams = self._file_streams
-        READ = EventType.READ
-        WRITE = EventType.WRITE
-        tel = self.telemetry
-        key_flow = tel.key_flow if tel is not None else None
-        tel_env = self._tel_env
-        fold_mark = self._fold_mark
-        dhm_mark = self._dhm_mark
-        # file_id -> (file, segment_size, last_index, last_nbytes) | None
-        files: dict[str, Optional[tuple]] = {}
+        fold = self._fold
         processed = 0
         score_updates = 0
-        dirty_dropped = 0
-        n_updates = 0
-        n_gets = 0
-        n_local = 0
-        n_remote = 0
-
         for event in events:
             processed += 1
-            etype = event.etype
-            if etype is READ:
-                fid = event.file_id
-                info = files.get(fid, False)
-                if info is False:
-                    if fs.exists(fid):
-                        f = fs.get(fid)
-                        last_index = f.num_segments - 1
-                        info = (
-                            f,
-                            f.segment_size,
-                            last_index,
-                            f.segment_bytes(SegmentKey(fid, last_index))
-                            if last_index >= 0
-                            else 0,
-                        )
-                    else:
-                        info = None
-                    files[fid] = info
-                if info is None:
-                    continue
-                f, seg_size, last_index, last_nbytes = info
-                first, last = f.segment_span(event.offset, event.size)
-                if last < first:
-                    continue
-                stream = (fid, event.pid)
-                prev = last_segment.get(stream)
-                when = event.timestamp
-                node = event.node
-                node_shard = node % nshards
-                for index in range(first, last + 1):
-                    key = SegmentKey(fid, index)
-                    if key_flow is not None:
-                        key_flow[key] = event.eid
-                    sid = 0 if nshards == 1 else shard_of(key)
-                    shard = local_shard(sid)
-                    stats = shard.get(key)
-                    if stats is None:
-                        stats = SegmentStats(
-                            key=key,
-                            nbytes=seg_size if index < last_index else last_nbytes,
-                            max_history=max_history,
-                        )
-                        shard[key] = stats
-                        fkeys = file_keys.get(fid)
-                        if fkeys is None:
-                            file_keys[fid] = fkeys = {}
-                        fkeys[key] = None
-                    stats.record(when, prev)
-                    n_updates += 1
-                    if node_shard == sid:
-                        n_local += 1
-                    else:
-                        n_remote += 1
-                    if wal is not None:
-                        wal.log_put(key, stats)
-                    if prev is not None and prev != key:
-                        # sequencing link on the predecessor — charged like
-                        # the per-event path: one local get, plus one local
-                        # update when the record exists
-                        psid = 0 if nshards == 1 else shard_of(prev)
-                        prev_stats = local_shard(psid).get(prev)
-                        n_gets += 1
-                        n_local += 1
-                        if prev_stats is not None:
-                            prev_stats.link_successor(key)
-                            n_updates += 1
-                            n_local += 1
-                            if wal is not None:
-                                wal.log_put(prev, prev_stats)
-                    if key not in home_node:
-                        home_node[key] = node
-                    if key in dirty or len(dirty) < dirty_cap:
-                        dirty[key] = None
-                    else:
-                        dirty_dropped += 1
-                    score_updates += 1
-                    prev = key
-                last_segment[stream] = prev
-                fstreams = file_streams.get(fid)
-                if fstreams is None:
-                    file_streams[fid] = fstreams = {}
-                fstreams[stream] = None
-                if fold_mark is not None:
-                    now = tel_env.now
-                    fold_mark((now, event.eid, last - first + 1))
-                    dhm_mark((now, event.eid))
-            elif etype is WRITE:
-                self._on_write(event)
-            # OPEN/CLOSE: epochs are driven by the agent manager (below).
-
-        # -- post-batch flush ----------------------------------------------
+            score_updates += fold(event)
         self.events_processed += processed
         self.batched_events += processed
-        self.dirty_dropped += dirty_dropped
-        if n_updates or n_gets:
-            stats_map.charge_batch(
-                local_ops=n_local, remote_ops=n_remote, gets=n_gets, updates=n_updates
-            )
         if score_updates:
             self.score_updates += score_updates
             count = self.score_updates
@@ -332,63 +205,111 @@ class FileSegmentAuditor:
                 listener(count)
         return processed
 
-    def _on_read(self, event: FileEvent) -> None:
-        if not self.fs.exists(event.file_id):
-            return
-        f = self.fs.get(event.file_id)
-        keys = f.read_segments(event.offset, event.size)
-        stream = (event.file_id, event.pid)
-        prev = self._last_segment.get(stream)
+    def _fold(self, event: FileEvent) -> int:
+        """Fold one event into the segment statistics; returns score updates.
+
+        A WRITE invalidates the file.  A READ updates the record of every
+        segment it covers, in place on its shard (through
+        :meth:`~repro.dhm.hashmap.DistributedHashMap.local_shard`), and
+        charges the event's map traffic with one
+        :meth:`~repro.dhm.hashmap.DistributedHashMap.charge_batch`: per
+        segment one update from the reader's node, and per sequencing
+        link one local get plus, when the predecessor's record exists,
+        one local update.  OPEN/CLOSE epochs are driven by the agent
+        manager, which sees the open flags; the raw events carry no
+        extra information here.
+        """
+        etype = event.etype
+        if etype is not EventType.READ:
+            if etype is EventType.WRITE:
+                self._on_write(event)
+            return 0
+        fid = event.file_id
+        if not self.fs.exists(fid):
+            return 0
+        f = self.fs.get(fid)
+        first, last = f.segment_span(event.offset, event.size)
+        if last < first:
+            return 0
+        stats_map = self.stats_map
+        nshards = stats_map.shards
+        shard_of = stats_map.shard_of
+        local_shard = stats_map.local_shard
+        wal = stats_map.wal
+        dirty = self._dirty
+        dirty_cap = self.config.dirty_vector_capacity
+        home_node = self._home_node
         tel = self.telemetry
-        for key in keys:
-            if tel is not None:
-                tel.key_flow[key] = event.eid
-            nbytes = f.segment_bytes(key)
-            self._record_access(key, nbytes, event.timestamp, prev, event.node)
-            prev = key
-        if keys:
-            self._last_segment[stream] = keys[-1]
-            self._file_streams.setdefault(event.file_id, {})[stream] = None
-            if tel is not None:
-                now = self._tel_env.now
-                self._fold_mark((now, event.eid, len(keys)))
-                self._dhm_mark((now, event.eid))
-
-    def _record_access(
-        self,
-        key: SegmentKey,
-        nbytes: int,
-        when: float,
-        prev: Optional[SegmentKey],
-        node: int,
-    ) -> None:
-        def _update(stats: Optional[SegmentStats]) -> SegmentStats:
+        key_flow = tel.key_flow if tel is not None else None
+        stream = (fid, event.pid)
+        prev = self._last_segment.get(stream)
+        when = event.timestamp
+        node = event.node
+        node_shard = node % nshards
+        n_gets = 0
+        n_local = 0
+        n_remote = 0
+        for index in range(first, last + 1):
+            key = SegmentKey(fid, index)
+            if key_flow is not None:
+                key_flow[key] = event.eid
+            sid = 0 if nshards == 1 else shard_of(key)
+            shard = local_shard(sid)
+            stats = shard.get(key)
             if stats is None:
-                stats = SegmentStats(key=key, nbytes=nbytes, max_history=self.config.max_history)
-                self._file_keys.setdefault(key.file_id, {})[key] = None
+                stats = SegmentStats(
+                    key=key, nbytes=f.segment_bytes(key), max_history=self.config.max_history
+                )
+                shard[key] = stats
+                fkeys = self._file_keys.get(fid)
+                if fkeys is None:
+                    self._file_keys[fid] = fkeys = {}
+                fkeys[key] = None
             stats.record(when, prev)
-            return stats
-
-        self.stats_map.update(key, _update, from_shard=node % self.stats_map.shards)
-        if prev is not None and prev != key:
-            def _link(stats: Optional[SegmentStats]) -> Optional[SegmentStats]:
-                if stats is not None:
-                    stats.link_successor(key)
-                return stats
-
-            prev_stats = self.stats_map.get(prev)
-            if prev_stats is not None:
-                self.stats_map.update(prev, _link)
-        self._home_node.setdefault(key, node)
-        if key in self._dirty or len(self._dirty) < self.config.dirty_vector_capacity:
-            self._dirty[key] = None
-        else:
-            # bounded vector: the placement hint is dropped (the stats in
-            # the hash map survive and a later access can re-surface it)
-            self.dirty_dropped += 1
-        self.score_updates += 1
-        for listener in self._update_listeners:
-            listener(self.score_updates)
+            if node_shard == sid:
+                n_local += 1
+            else:
+                n_remote += 1
+            if wal is not None:
+                wal.log_put(key, stats)
+            if prev is not None and prev != key:
+                # sequencing link on the predecessor: one local get, plus
+                # one local update when its record exists
+                prev_stats = local_shard(0 if nshards == 1 else shard_of(prev)).get(prev)
+                n_gets += 1
+                n_local += 1
+                if prev_stats is not None:
+                    prev_stats.link_successor(key)
+                    n_local += 1
+                    if wal is not None:
+                        wal.log_put(prev, prev_stats)
+            if key not in home_node:
+                home_node[key] = node
+            if key in dirty or len(dirty) < dirty_cap:
+                dirty[key] = None
+            else:
+                # bounded vector: the placement hint is dropped (the stats
+                # in the hash map survive and a later access can re-surface it)
+                self.dirty_dropped += 1
+            prev = key
+        self._last_segment[stream] = prev
+        fstreams = self._file_streams.get(fid)
+        if fstreams is None:
+            self._file_streams[fid] = fstreams = {}
+        fstreams[stream] = None
+        n = last - first + 1
+        # every op above is a get or an update
+        stats_map.charge_batch(
+            local_ops=n_local,
+            remote_ops=n_remote,
+            gets=n_gets,
+            updates=n_local + n_remote - n_gets,
+        )
+        if self._fold_mark is not None:
+            now = self._tel_env.now
+            self._fold_mark((now, event.eid, n))
+            self._dhm_mark((now, event.eid))
+        return n
 
     def _on_write(self, event: FileEvent) -> None:
         """Update events invalidate previously prefetched data (§III-B)."""

@@ -88,6 +88,8 @@ class PlacementEngine:
         self._proc: Optional[Process] = None
         self._running = False
         self._updates_since_pass = 0
+        # the auditor's running update count at the last notification
+        self._seen_updates = auditor.score_updates
         # instrumentation
         self.passes = 0
         self.segments_placed = 0
@@ -137,8 +139,10 @@ class PlacementEngine:
             self._proc = None
 
     # -- triggers ---------------------------------------------------------------
-    def _on_score_update(self, _total: int) -> None:
-        self._updates_since_pass += 1
+    def _on_score_update(self, total: int) -> None:
+        # count by delta: a batched fold notifies once for many updates
+        self._updates_since_pass += total - self._seen_updates
+        self._seen_updates = total
         if (
             self._updates_since_pass >= self.config.engine_update_threshold
             and self._count_trigger is not None
@@ -192,14 +196,17 @@ class PlacementEngine:
         # expand with sequencing lookahead: segments "connected" to the
         # hot ones (most likely successor, falling back to the spatial
         # next segment) are placement candidates at a discounted score.
+        # Nothing yields between here and the plan, so no statistics can
+        # change: each key's successor is looked up once per pass.
         candidates: dict[SegmentKey, float] = {}
+        successors: dict[SegmentKey, Optional[SegmentKey]] = {}
         for key, score in zip(dirty, scores):
             score = float(score)
             if score <= 0.0:
                 continue
             if score > candidates.get(key, 0.0):
                 candidates[key] = score
-            self._add_lookahead(key, score, candidates)
+            self._add_lookahead(key, score, candidates, successors)
         # hotter first; ties broken randomly (paper's default policy)
         plan = sorted(
             candidates.items(),
@@ -225,14 +232,25 @@ class PlacementEngine:
             )
 
     def _add_lookahead(
-        self, key: SegmentKey, score: float, candidates: dict[SegmentKey, float]
+        self,
+        key: SegmentKey,
+        score: float,
+        candidates: dict[SegmentKey, float],
+        successors: dict[SegmentKey, Optional[SegmentKey]],
     ) -> None:
-        """Walk the sequencing chain forward, discounting per hop."""
+        """Walk the sequencing chain forward, discounting per hop.
+
+        ``successors`` memoises :meth:`_successor_of` for one pass.
+        """
         current = key
         value = score
+        discount = self.config.lookahead_discount
         for _hop in range(self.config.lookahead_depth):
-            value *= self.config.lookahead_discount
-            nxt = self._successor_of(current)
+            value *= discount
+            if current in successors:
+                nxt = successors[current]
+            else:
+                nxt = successors[current] = self._successor_of(current)
             if nxt is None:
                 return
             if value > candidates.get(nxt, 0.0):

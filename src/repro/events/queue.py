@@ -103,7 +103,7 @@ class EventQueue:
                 if eid is not None:
                     mark((self.env.now, eid))
             return False
-        self._store.put(event)  # guaranteed immediate under the level check
+        self._store.put_nowait(event)  # room guaranteed by the level check
         self.produced += 1
         if self._first_push is None:
             self._first_push = self.env.now

@@ -188,8 +188,8 @@ class Store:
 
     ``put`` blocks when the store is full; ``get`` blocks when empty.
     This is the HFetch server's in-memory event queue (paper §III-A.1):
-    inotify producers ``put`` file events, hardware-monitor daemons
-    ``get`` them.
+    inotify producers ``put_nowait`` file events, hardware-monitor
+    daemons ``get`` them.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")):
@@ -216,6 +216,30 @@ class Store:
         self._putters.append(ev)
         self._balance()
         return ev
+
+    def put_nowait(self, item: Any) -> None:
+        """Accept ``item`` at once, scheduling no event of its own.
+
+        For producers that never wait on their put: the item goes to the
+        oldest waiting getter, or is buffered.  Level, high-water mark
+        and counters end up as :meth:`put` leaves them.  Raises
+        :class:`SimulationError` when the store is full.
+        """
+        items = self.items
+        if len(items) >= self.capacity:
+            raise SimulationError("put_nowait on a full store")
+        self.total_put += 1
+        if self._getters:
+            # getters wait only while nothing is buffered (see _balance),
+            # so the item passes through a level of one
+            if self.max_level < 1:
+                self.max_level = 1
+            self.total_got += 1
+            self._getters.popleft().succeed(item)
+            return
+        items.append(item)
+        if len(items) > self.max_level:
+            self.max_level = len(items)
 
     def get(self) -> _StoreGet:
         """Ask for the next item; the returned event fires with the item."""

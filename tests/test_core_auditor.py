@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.auditor import FileSegmentAuditor
 from repro.core.config import HFetchConfig
+from repro.dhm.hashmap import DistributedHashMap
+from repro.dhm.wal import WriteAheadLog
 from repro.events.types import EventType, FileEvent
 from repro.storage.files import FileSystemModel
 from repro.storage.segments import SegmentKey
@@ -161,3 +163,42 @@ def test_update_listener_sees_running_count():
     aud.add_update_listener(seen.append)
     aud.on_event(read_event(0, 2 * MB))
     assert seen == [1, 2]
+
+
+def _fold_with(path, aud, event):
+    if path == "on_event":
+        aud.on_event(event)
+    else:
+        aud.on_events([event])
+
+
+@pytest.mark.parametrize("path", ["on_event", "on_events"])
+@pytest.mark.parametrize("with_wal", [False, True])
+def test_fold_dhm_accounting_on_a_remote_shard(path, with_wal):
+    """Pinned map traffic of a 3-segment read that follows an earlier read.
+
+    Segments 1 and 2 live on shard 1 and segment 3 on shard 3; the reader
+    is node 6, so every segment update is remote (shard 2).  Each of the
+    three sequencing links (0->1, 1->2, 2->3) is a local get plus a local
+    update of the predecessor's existing record.
+    """
+    wal = WriteAheadLog() if with_wal else None
+    fs = FileSystemModel(default_segment_size=MB)
+    fs.create("/f", 16 * MB)
+    stats_map = DistributedHashMap(shards=4, wal=wal)
+    assert [stats_map.shard_of(SegmentKey("/f", i)) for i in range(4)] == [1, 1, 1, 3]
+    aud = FileSegmentAuditor(HFetchConfig(), fs, stats_map=stats_map)
+    _fold_with(path, aud, read_event(0, MB, t=0.1, pid=1, node=0))
+    assert (stats_map.gets, stats_map.updates) == (0, 1)
+    assert (stats_map.local_ops, stats_map.remote_ops) == (0, 1)
+    _fold_with(path, aud, read_event(MB, 3 * MB, t=0.2, pid=1, node=6))
+    assert (stats_map.gets, stats_map.updates) == (3, 7)
+    assert (stats_map.local_ops, stats_map.remote_ops) == (6, 4)
+    assert stats_map.total_cost == pytest.approx(6 * 2e-7 + 4 * 5e-6)
+    if wal is not None:
+        # one put per segment update, each followed by its link update
+        logged = [key.index for _tag, (key, _value) in wal._iter_records()]
+        assert logged == [0, 1, 0, 2, 1, 3, 2]
+        recovered = wal.recover()
+        assert recovered[SegmentKey("/f", 0)].successors == {SegmentKey("/f", 1): 1}
+        assert recovered[SegmentKey("/f", 3)].refs == 1

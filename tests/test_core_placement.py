@@ -142,6 +142,75 @@ def test_count_trigger_fires_engine():
     engine.stop()
 
 
+def _single_segment_reads(n):
+    return [
+        FileEvent(EventType.READ, "/f", offset=i * MB, size=MB, timestamp=0.0, pid=0)
+        for i in range(n)
+    ]
+
+
+def test_count_trigger_fires_engine_under_batched_fold():
+    """One listener call for a batch of ten updates still counts ten."""
+    env, engine, auditor, hier, io = build(
+        engine_interval=1000.0, engine_update_threshold=10
+    )
+    engine.start()
+    env.run(until=0.001)  # the trigger loop arms its count trigger
+    auditor.on_events(_single_segment_reads(10))
+    assert engine._updates_since_pass == 10
+    env.run(until=1.0)
+    assert engine.passes == 1
+    engine.stop()
+
+
+def test_lookahead_memoises_successors_within_a_pass():
+    """Two dirty keys share a successor chain: each key is looked up once.
+
+    Learned links: 0->5, 2->5, 5->6 (twice) and 5->9 (once), 6->7.  With
+    depth 3, the walk from 0 visits 0, 5, 6 and the walk from 2 visits
+    2, 5, 6: six hops over four distinct keys.
+    """
+    env, engine, auditor, hier, io = build(lookahead_depth=3)
+    d = engine.config.lookahead_discount
+
+    def read(index, pid):
+        auditor.on_event(
+            FileEvent(EventType.READ, "/f", offset=index * MB, size=MB, timestamp=0.0, pid=pid)
+        )
+
+    for index in (0, 5, 6, 7):
+        read(index, pid=1)
+    for index in (2, 5, 6):
+        read(index, pid=2)
+    for index in (5, 9):
+        read(index, pid=3)
+    auditor.drain_dirty()
+    # fresh streams: the two dirty keys get no new links; 2 runs hotter
+    read(0, pid=4)
+    read(2, pid=5)
+    read(2, pid=5)
+    dirty = [SegmentKey("/f", 0), SegmentKey("/f", 2)]
+    s0, s2 = (float(x) for x in auditor.batch_score(dirty, 0.0))
+    assert s2 > s0  # so the shared chain carries 2's discounted score
+    expected = {
+        SegmentKey("/f", 0): s0,
+        SegmentKey("/f", 2): s2,
+        SegmentKey("/f", 5): s2 * d,
+        SegmentKey("/f", 6): s2 * d * d,
+        SegmentKey("/f", 7): s2 * d * d * d,
+    }
+    planned = {}
+    engine._calculate_placement = lambda key, nbytes, score, tier_idx: planned.update(
+        {key: score}
+    )
+    gets = auditor.stats_map.gets
+    run_pass(env, engine)
+    assert planned == expected
+    # batch_score reads the 2 dirty keys, the lookahead the 4 distinct
+    # walked keys (not the 6 hops), and the plan each candidate's size
+    assert auditor.stats_map.gets - gets == len(dirty) + 4 + len(expected)
+
+
 def test_interval_trigger_fires_engine():
     env, engine, auditor, hier, io = build(
         engine_interval=0.5, engine_update_threshold=1 << 30

@@ -58,7 +58,9 @@ def test_queue_push_pop_fifo():
 def test_queue_drops_on_overflow():
     env = Environment()
     q = EventQueue(env, capacity=2)
+    eid = env._eid
     assert q.push(1) and q.push(2)
+    assert env._eid == eid  # a non-blocking push is not a kernel event
     assert not q.push(3)  # dropped, producer never blocks
     assert q.dropped == 1
     assert q.level == 2

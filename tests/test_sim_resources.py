@@ -243,6 +243,71 @@ def test_store_multiple_consumers_each_get_distinct_items():
     assert sorted(got) == [0, 1, 2]
 
 
+def test_store_put_nowait_without_getter_schedules_no_event():
+    env = Environment()
+    st = Store(env)
+    eid = env._eid
+    st.put_nowait("a")
+    st.put_nowait("b")
+    assert env._eid == eid
+    assert list(st.items) == ["a", "b"]
+
+
+def test_store_put_nowait_hands_items_to_waiting_getters_fifo():
+    env = Environment()
+    st = Store(env)
+    got = []
+
+    def consumer(env, name):
+        item = yield st.get()
+        got.append((name, env.now, item))
+
+    for name in ("c0", "c1", "c2"):
+        env.process(consumer(env, name))
+    env.run()  # every consumer now waits on its get
+    env.run(until=2.0)
+    eid = env._eid
+    st.put_nowait("x")
+    assert env._eid == eid + 1  # exactly one getter event
+    st.put_nowait("y")
+    env.run()
+    assert got == [("c0", 2.0, "x"), ("c1", 2.0, "y")]
+    assert st.level == 0
+
+
+def _store_counters(st: Store) -> tuple:
+    return (st.level, st.max_level, st.total_put, st.total_got)
+
+
+@pytest.mark.parametrize("getters", [0, 1, 3])
+def test_store_put_nowait_counters_match_put(getters):
+    def drive(push) -> tuple:
+        env = Environment()
+        st = Store(env)
+
+        def consumer(env):
+            yield st.get()
+
+        for _ in range(getters):
+            env.process(consumer(env))
+        env.run()
+        for i in range(5):
+            push(st, i)
+        env.run()
+        return _store_counters(st)
+
+    assert drive(Store.put_nowait) == drive(Store.put)
+
+
+def test_store_put_nowait_refuses_a_full_store():
+    env = Environment()
+    st = Store(env, capacity=1)
+    st.put_nowait("a")
+    with pytest.raises(SimulationError):
+        st.put_nowait("b")
+    assert _store_counters(st) == (1, 1, 1, 0)
+
+
 # ----------------------------------------------------------------- Container
 def test_container_put_get_levels():
     env = Environment()
