@@ -207,11 +207,14 @@ class PlacementEngine:
             if score > candidates.get(key, 0.0):
                 candidates[key] = score
             self._add_lookahead(key, score, candidates, successors)
-        # hotter first; ties broken randomly (paper's default policy)
-        plan = sorted(
-            candidates.items(),
-            key=lambda kv: (-kv[1], self._rng.uniform()),
+        # hotter first; ties broken randomly (paper's default policy),
+        # one draw per candidate in candidate order
+        items = list(candidates.items())
+        ties = self._rng.uniform_array(0.0, 1.0, len(items)).tolist()
+        order = sorted(
+            (-score, tie, i) for i, ((_key, score), tie) in enumerate(zip(items, ties))
         )
+        plan = [items[i] for _score, _tie, i in order]
         prov = self._prov
         if prov is not None:
             prov.snapshot(plan)

@@ -8,7 +8,6 @@ distributed hash map and are updated atomically per observed event.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,9 +17,12 @@ from repro.storage.segments import SegmentKey
 __all__ = ["SegmentStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class SegmentStats:
     """Mutable access record of one file segment.
+
+    One record exists per segment ever read, so the class is slotted:
+    no per-instance ``__dict__``.
 
     Attributes
     ----------
@@ -32,9 +34,11 @@ class SegmentStats:
         Total reference count ``n`` since the record was created — feeds
         Eq. 1's decay exponent.
     times:
-        Ring of the most recent access timestamps (the ``k`` window of
-        Eq. 1; older accesses age out of the window but remain counted
-        in ``refs``).
+        The most recent access timestamps, oldest first (the ``k`` window
+        of Eq. 1; older accesses age out of the window but remain counted
+        in ``refs``).  A plain list: with at most ``max_history`` (16 by
+        default) entries, ``del times[0]`` is cheaper than a deque, and
+        the list is a fraction of a deque's size.
     last_access:
         Timestamp of the most recent access (recency).
     prev:
@@ -50,7 +54,7 @@ class SegmentStats:
     nbytes: int
     max_history: int = 16
     refs: int = 0
-    times: deque = field(default_factory=deque)
+    times: list = field(default_factory=list)
     last_access: float = float("-inf")
     prev: Optional[SegmentKey] = None
     successors: dict = field(default_factory=dict)
@@ -68,9 +72,10 @@ class SegmentStats:
             # clamp rather than corrupt the window.
             now = self.last_access
         self.refs += 1
-        self.times.append(now)
-        while len(self.times) > self.max_history:
-            self.times.popleft()
+        times = self.times
+        times.append(now)
+        while len(times) > self.max_history:
+            del times[0]
         self.last_access = now
         if prev is not None and prev != self.key:
             self.prev = prev

@@ -367,16 +367,25 @@ class DistributedHashMap:
         updates: int = 0,
         deletes: int = 0,
     ) -> None:
-        """Account a batch of operations performed through :meth:`local_shard`."""
-        self.gets += gets
-        self.puts += puts
-        self.updates += updates
-        self.deletes += deletes
+        """Account a batch of operations performed through :meth:`local_shard`.
+
+        Called once per folded file event, so zero counts are skipped.
+        """
+        if gets:
+            self.gets += gets
+        if puts:
+            self.puts += puts
+        if updates:
+            self.updates += updates
+        if deletes:
+            self.deletes += deletes
+        if not (local_ops or remote_ops):
+            return
         self.local_ops += local_ops
         self.remote_ops += remote_ops
         cost = local_ops * self.cost.local + remote_ops * self.cost.remote
         self.total_cost += cost
-        if self._h_batch_cost is not None and (local_ops or remote_ops):
+        if self._h_batch_cost is not None:
             self._h_batch_cost.observe(cost)
 
     # -- shard outage & recovery ---------------------------------------------------

@@ -48,6 +48,11 @@ class SeededStream:
         """A float uniformly drawn from ``[low, high)``."""
         return float(self._gen.uniform(low, high))
 
+    def uniform_array(self, low: float, high: float, size: int) -> np.ndarray:
+        """``size`` floats drawn from ``[low, high)``: the same values, in
+        the same order, as ``size`` calls of :meth:`uniform`."""
+        return self._gen.uniform(low, high, size)
+
     def randint(self, low: int, high: int) -> int:
         """An int uniformly drawn from ``[low, high)``."""
         return int(self._gen.integers(low, high))

@@ -27,7 +27,7 @@ def test_history_window_caps_but_refs_keep_counting():
     for t in range(10):
         s.record(float(t))
     assert s.refs == 10
-    assert list(s.times) == [7.0, 8.0, 9.0]
+    assert s.times == [7.0, 8.0, 9.0]  # a list window, trimmed at max_history
 
 
 def test_out_of_order_timestamps_clamped():
@@ -35,6 +35,7 @@ def test_out_of_order_timestamps_clamped():
     s.record(5.0)
     s.record(3.0)  # events can reorder through the queue
     assert s.last_access == 5.0
+    assert s.times == [5.0, 5.0]
 
 
 def test_prev_sequencing_recorded():

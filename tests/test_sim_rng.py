@@ -62,3 +62,12 @@ def test_integers_array_shape_and_bounds():
 def test_permutation_covers_range():
     s = SeededStream(1, "perm")
     assert sorted(s.permutation(8).tolist()) == list(range(8))
+
+
+def test_uniform_array_equals_successive_scalar_draws():
+    a = SeededStream(2020, "placement-engine")
+    b = SeededStream(2020, "placement-engine")
+    assert a.uniform_array(0.0, 1.0, 500).tolist() == [b.uniform() for _ in range(500)]
+    # an empty draw consumes nothing, and the streams stay in step
+    assert a.uniform_array(0.0, 1.0, 0).size == 0
+    assert a.uniform() == b.uniform()
